@@ -5,9 +5,11 @@ C compiler the first time it is called (cached as a shared object under
 ``_cfused_build/``, keyed by a hash of the source and flags) and
 returns a :class:`CFused` wrapper, or ``None`` when no compiler is
 available, compilation fails, or the ``REPRO_CHEM_NO_C`` environment
-variable is set.  Callers must treat ``None`` as "use the numpy
-fallback" — the pure-numpy fast path in :mod:`repro.chemistry.kernel`
-produces identical results.
+variable is set.  ``None`` makes the solver run its reference path
+(:class:`repro.chemistry.youngboris.YoungBorisSolver` with
+``fast=False`` semantics), which produces identical results about
+2.7x slower on an LA chemistry step (``docs/PERFORMANCE.md`` §3).  ``load()`` is thread-safe: concurrent first
+callers wait for one build and all receive the same object.
 
 The build deliberately avoids ``-march=native`` and disables FMA
 contraction and fast-math: the point of the C kernels is to fuse numpy
@@ -23,6 +25,7 @@ import hashlib
 import os
 import shutil
 import subprocess
+import threading
 from pathlib import Path
 from typing import Optional
 
@@ -48,8 +51,8 @@ class CFused:
     caches per workspace buffer) — per-call ``data_as`` marshalling
     costs more than some of the kernels themselves.  All arrays must be
     C-contiguous with the dtypes the kernels expect (float64 data,
-    int64 indices); the callers in :mod:`repro.chemistry.kernel`
-    guarantee this by construction.
+    int64 indices); :mod:`repro.chemistry.kernel` checks contiguity
+    before it passes an address.
     """
 
     def __init__(self, lib: ctypes.CDLL) -> None:
@@ -160,6 +163,9 @@ def _compile() -> Optional[Path]:
 
 _cached: Optional[CFused] = None
 _attempted = False
+#: Serialises the first load: ``_attempted`` turns true only after
+#: ``_cached`` holds the outcome.
+_load_lock = threading.Lock()
 
 
 def load() -> Optional[CFused]:
@@ -167,14 +173,20 @@ def load() -> Optional[CFused]:
     global _cached, _attempted
     if _attempted:
         return _cached
-    _attempted = True
+    with _load_lock:
+        if not _attempted:
+            _cached = _build()
+            _attempted = True
+    return _cached
+
+
+def _build() -> Optional[CFused]:
     if os.environ.get("REPRO_CHEM_NO_C"):
         return None
     so_path = _compile()
     if so_path is None:
         return None
     try:
-        _cached = CFused(ctypes.CDLL(str(so_path)))
+        return CFused(ctypes.CDLL(str(so_path)))
     except OSError:
-        _cached = None
-    return _cached
+        return None

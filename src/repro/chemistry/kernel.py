@@ -6,21 +6,17 @@ buffers.  The solver spends ~97% of a sequential Airshed hour here; the
 reference implementation (:meth:`repro.chemistry.mechanism.Mechanism.
 production_loss` plus the solver's ``_substep``) allocates dozens of
 temporaries per substep and touches every array several times.  The
-kernel removes the temporaries and fuses passes while producing
-**bitwise-identical** results.
-
-Each stage has two interchangeable backends:
-
-* a pure-numpy path using ``out=`` buffers (always available), and
-* C fused loops (:mod:`repro.chemistry.cfused`), compiled on demand,
-  that collapse each stage's ufunc chain into a single pass.
+kernel removes the temporaries and collapses each stage's ufunc chain
+into a single C loop (:mod:`repro.chemistry.cfused`, compiled on
+demand) while producing **bitwise-identical** results.  It is the only
+fast path: when the C library is unavailable the solver runs the
+reference implementation instead.
 
 Bitwise-identity ground rules (verified empirically on this codebase,
 documented in ``docs/PERFORMANCE.md``):
 
-* elementwise ufuncs with ``out=`` buffers, operand swaps of
-  commutative ops (``x*y`` vs ``y*x``) and shared subexpressions with
-  identical expression trees are all exact;
+* operand swaps of commutative ops (``x*y`` vs ``y*x``) and shared
+  subexpressions with identical expression trees are exact;
 * gather -> compute -> scatter on a contiguous subset is exact for
   ``exp``, division and the other elementwise ops (per-element results
   do not depend on neighbours);
@@ -56,7 +52,7 @@ from typing import Dict, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.chemistry import cfused
+from repro.chemistry.cfused import CFused
 from repro.chemistry.mechanism import Mechanism
 from repro.chemistry.tiling import TilePool, tile_spans
 
@@ -64,48 +60,43 @@ __all__ = ["FastKernel", "asymptotic_subset"]
 
 
 class FastKernel:
-    """Workspace-backed solver stages for one solver instance.
+    """Workspace-backed C fused solver stages for one solver instance.
 
-    Not thread-safe: buffers are shared across calls by design.
+    Not thread-safe: buffers are shared across calls by design.  Every
+    array a caller passes in must be C-contiguous; the stages raise
+    ``ValueError`` otherwise (``YoungBorisSolver.integrate`` guarantees
+    the layout by copying its state in C order).
 
     Parameters
     ----------
     mechanism:
         The compiled mechanism.
-    use_c:
-        ``None`` (default) auto-detects the C fused kernels; ``False``
-        forces the pure-numpy path (used by the bitwise-equivalence
-        tests); ``True`` requires them and raises if unavailable.
+    lib:
+        The loaded kernel library, as returned by
+        :func:`repro.chemistry.cfused.load`.
     """
 
     #: (ns, m) float buffers handed out by :meth:`mat`.
     _SPECIES_BUFFERS = (
-        "P0", "L0", "P1", "L1", "Lh", "R0", "t0", "t1", "cp", "c1", "Ea",
-        "c0",
+        "P0", "L0", "P1", "L1", "Lh", "R0", "t0", "cp", "c1", "Ea", "c0",
     )
 
-    def __init__(self, mechanism: Mechanism, use_c: Optional[bool] = None):
+    def __init__(self, mechanism: Mechanism, lib: CFused):
         self.mechanism = mechanism
         self.ns = mechanism.n_species
         self.nr = mechanism.n_reactions
-        self._r1 = mechanism._r1
-        self._r2_safe = mechanism._r2_safe
-        self._unimol_rows = mechanism._unimol_rows
         self._prod = mechanism._prod
         self._loss = mechanism._loss
         # int64 copies for the C kernels (r2 < 0 flags unimolecular).
         self._r1_i64 = np.ascontiguousarray(mechanism._r1, dtype=np.int64)
         self._r2_i64 = np.ascontiguousarray(mechanism._r2, dtype=np.int64)
-        self._c = cfused.load() if use_c in (None, True) else None
-        if use_c and self._c is None:
-            raise RuntimeError("C fused kernels requested but unavailable")
+        self._c = lib
         #: Multi-core tiling (see configure_tiling); None = sequential.
         self._pool: Optional[TilePool] = None
         self._tile_cols: Optional[int] = None
         self._tile_min_cols = 128
         self.capacity = 0
         self._flat: Dict[str, np.ndarray] = {}
-        self._stiff_flat: np.ndarray = np.zeros(0, dtype=bool)
         self._stiff_idx: np.ndarray = np.zeros(0, dtype=np.int64)
         self._stiff_merge: np.ndarray = np.zeros(0, dtype=np.int64)
         self._err: np.ndarray = np.zeros(0)
@@ -114,11 +105,6 @@ class FastKernel:
         #: Per-slot "L still holds the raw loss rate" flags (see
         #: production_loss(defer_finish=True)).
         self._pl_pending = [False, False]
-
-    @property
-    def uses_c(self) -> bool:
-        """Whether the C fused backend is active."""
-        return self._c is not None
 
     # ------------------------------------------------------------------
     # workspace
@@ -130,9 +116,7 @@ class FastKernel:
         self.capacity = int(npts)
         for name in self._SPECIES_BUFFERS:
             self._flat[name] = np.empty(self.ns * self.capacity)
-        for name in ("rates", "fac"):
-            self._flat[name] = np.empty(self.nr * self.capacity)
-        self._stiff_flat = np.empty(self.ns * self.capacity, dtype=bool)
+        self._flat["rates"] = np.empty(self.nr * self.capacity)
         self._stiff_idx = np.empty(self.ns * self.capacity, dtype=np.int64)
         self._stiff_merge = np.empty(self.ns * self.capacity,
                                      dtype=np.int64)
@@ -147,10 +131,6 @@ class FastKernel:
     def mat(self, name: str, m: int) -> np.ndarray:
         """Contiguous ``(ns, m)`` view of the named buffer."""
         return self._flat[name][: self.ns * m].reshape(self.ns, m)
-
-    def stiff_mask(self, m: int) -> np.ndarray:
-        """Contiguous ``(ns, m)`` bool scratch for stiffness masks."""
-        return self._stiff_flat[: self.ns * m].reshape(self.ns, m)
 
     # ------------------------------------------------------------------
     # multi-core tiling
@@ -219,11 +199,11 @@ class FastKernel:
         input.  ``slot`` selects the ``(P0, L0)`` or ``(P1, L1)`` buffer
         pair so predictor and corrector evaluations can coexist.
 
-        With ``defer_finish`` the C backend may leave ``L`` holding the
-        raw loss *rate* and fold the ``L /= max(conc, 1e-30)`` pass
-        into the next :meth:`predictor`/:meth:`corrector` call (saving
-        a full read+write sweep); the returned ``L`` must then not be
-        consumed directly.  The numpy backend always finishes.
+        With ``defer_finish`` ``L`` is left holding the raw loss *rate*
+        and the ``L /= max(conc, 1e-30)`` pass is folded into the next
+        :meth:`predictor`/:meth:`corrector` call (saving a full
+        read+write sweep); the returned ``L`` must then not be consumed
+        directly.
 
         ``col_slices`` (batched ensembles) runs the two BLAS matmuls
         once per ``(start, stop)`` column range instead of over the full
@@ -238,66 +218,29 @@ class FastKernel:
         L = self.mat(f"L{slot}", m)
         self._pl_pending[slot] = False
         spans = self._spans(m)
-        if self._c is not None and conc.flags.c_contiguous:
-            a = self._addr
-            conc_p = conc.ctypes.data
-            if spans is None:
-                self._c.build_rates(self.nr, m, k.ctypes.data, a["r1"],
-                                    a["r2"], conc_p, a["rates"])
-            else:
-                kp = k.ctypes.data
-                self._pool.run(
-                    lambda si, s0, s1: self._c.build_rates_span(
-                        self.nr, m, s0, s1, kp, a["r1"], a["r2"],
-                        conc_p, a["rates"]),
-                    spans)
-            self._pl_matmuls(rates, P, L, col_slices)
-            if defer_finish:
-                self._pl_pending[slot] = True
-            elif spans is None:
-                self._c.pl_finish(self.ns * m, conc_p, a[f"L{slot}"])
-            else:
-                Lp = a[f"L{slot}"]
-                self._pool.run(
-                    lambda si, s0, s1: self._c.pl_finish_span(
-                        self.ns, m, s0, s1, conc_p, Lp),
-                    spans)
-            return P, L
-        fac = self._flat["fac"][: self.nr * m].reshape(self.nr, m)
-        t = self.mat("t0", m)
-        if spans is not None:
-            # rates = k * conc[r1] (* conc[r2] when bimolecular), per
-            # tile: pure elementwise work on disjoint column slices.
-            def _rates_tile(si: int, s0: int, s1: int) -> None:
-                cs = conc[:, s0:s1]
-                rs = rates[:, s0:s1]
-                fs = fac[:, s0:s1]
-                np.take(cs, self._r1, axis=0, out=rs)
-                np.multiply(rs, k[:, None], out=rs)
-                np.take(cs, self._r2_safe, axis=0, out=fs)
-                fs[self._unimol_rows] = 1.0
-                np.multiply(rs, fs, out=rs)
-
-            self._pool.run(_rates_tile, spans)
-            self._pl_matmuls(rates, P, L, col_slices)
-
-            def _finish_tile(si: int, s0: int, s1: int) -> None:
-                ts = t[:, s0:s1]
-                Ls = L[:, s0:s1]
-                np.maximum(conc[:, s0:s1], 1e-30, out=ts)
-                np.divide(Ls, ts, out=Ls)
-
-            self._pool.run(_finish_tile, spans)
-            return P, L
-        # rates = k * conc[r1]; bimolecular rows gain a conc[r2] factor.
-        np.take(conc, self._r1, axis=0, out=rates)
-        np.multiply(rates, k[:, None], out=rates)
-        np.take(conc, self._r2_safe, axis=0, out=fac)
-        fac[self._unimol_rows] = 1.0
-        np.multiply(rates, fac, out=rates)
-        self._pl_matmuls(rates, P, L, col_slices)  # L: rate until divided
-        np.maximum(conc, 1e-30, out=t)
-        np.divide(L, t, out=L)
+        a = self._addr
+        conc_p = _ptr(conc)
+        if spans is None:
+            self._c.build_rates(self.nr, m, _ptr(k), a["r1"], a["r2"],
+                                conc_p, a["rates"])
+        else:
+            kp = _ptr(k)
+            self._pool.run(
+                lambda si, s0, s1: self._c.build_rates_span(
+                    self.nr, m, s0, s1, kp, a["r1"], a["r2"],
+                    conc_p, a["rates"]),
+                spans)
+        self._pl_matmuls(rates, P, L, col_slices)
+        if defer_finish:
+            self._pl_pending[slot] = True
+        elif spans is None:
+            self._c.pl_finish(self.ns * m, conc_p, a[f"L{slot}"])
+        else:
+            Lp = a[f"L{slot}"]
+            self._pool.run(
+                lambda si, s0, s1: self._c.pl_finish_span(
+                    self.ns, m, s0, s1, conc_p, Lp),
+                spans)
         return P, L
 
     def _pl_matmuls(
@@ -340,78 +283,34 @@ class FastKernel:
         stiff_flat_indices)``.
         """
         m = c0.shape[1]
-        P0, L0 = self.mat("P0", m), self.mat("L0", m)
-        Lh = self.mat("Lh", m)
-        R0 = self.mat("R0", m)
-        cp = self.mat("cp", m)
-        divide = self._pl_pending[0]
+        divide = int(self._pl_pending[0])
         self._pl_pending[0] = False
         spans = self._spans(m)
-        if self._c is not None and c0.flags.c_contiguous and (
-            Ea is None or Ea.flags.c_contiguous
-        ):
-            a = self._addr
-            if spans is None:
-                n = self._c.predictor(
-                    self.ns, m, a["P0"], a["L0"], c0.ctypes.data,
-                    h.ctypes.data, None if Ea is None else Ea.ctypes.data,
-                    thresh, floor, int(divide),
-                    a["Lh"], a["R0"], a["cp"], a["stiff_idx"],
-                )
-                return cp, Lh, R0, self._stiff_idx[:n]
-            c0p, hp = c0.ctypes.data, h.ctypes.data
-            Eap = None if Ea is None else Ea.ctypes.data
-            counts = [0] * len(spans)
+        a = self._addr
+        c0p, hp = _ptr(c0), _ptr(h)
+        Eap = None if Ea is None else _ptr(Ea)
+        out = self.mat("cp", m), self.mat("Lh", m), self.mat("R0", m)
+        if spans is None:
+            n = self._c.predictor(
+                self.ns, m, a["P0"], a["L0"], c0p, hp, Eap,
+                thresh, floor, divide,
+                a["Lh"], a["R0"], a["cp"], a["stiff_idx"],
+            )
+            return (*out, self._stiff_idx[:n])
+        counts = [0] * len(spans)
 
-            def _pred_tile(si: int, s0: int, s1: int) -> None:
-                # each tile's stiff indices land in its own disjoint
-                # _stiff_idx segment (element offset ns*s0).
-                counts[si] = self._c.predictor_span(
-                    self.ns, m, s0, s1, a["P0"], a["L0"], c0p, hp, Eap,
-                    thresh, floor, int(divide),
-                    a["Lh"], a["R0"], a["cp"],
-                    a["stiff_idx"] + 8 * self.ns * s0,
-                )
+        def _pred_tile(si: int, s0: int, s1: int) -> None:
+            # each tile's stiff indices land in its own disjoint
+            # _stiff_idx segment (element offset ns*s0).
+            counts[si] = self._c.predictor_span(
+                self.ns, m, s0, s1, a["P0"], a["L0"], c0p, hp, Eap,
+                thresh, floor, divide,
+                a["Lh"], a["R0"], a["cp"],
+                a["stiff_idx"] + 8 * self.ns * s0,
+            )
 
-            self._pool.run(_pred_tile, spans)
-            return cp, Lh, R0, self._merge_stiff(spans, counts)
-        sm = self.stiff_mask(m)
-        t0 = self.mat("t0", m)
-        t1 = self.mat("t1", m)
-        if spans is not None:
-            def _pred_tile(si: int, s0: int, s1: int) -> None:
-                L0s, c0s = L0[:, s0:s1], c0[:, s0:s1]
-                if divide:
-                    np.maximum(c0s, 1e-30, out=t1[:, s0:s1])
-                    np.divide(L0s, t1[:, s0:s1], out=L0s)
-                if Ea is not None:
-                    np.add(P0[:, s0:s1], Ea[:, s0:s1], out=P0[:, s0:s1])
-                np.multiply(L0s, h[s0:s1], out=Lh[:, s0:s1])
-                np.greater(Lh[:, s0:s1], thresh, out=sm[:, s0:s1])
-                np.multiply(L0s, c0s, out=t0[:, s0:s1])
-                np.subtract(P0[:, s0:s1], t0[:, s0:s1], out=R0[:, s0:s1])
-                np.multiply(R0[:, s0:s1], h[s0:s1], out=cp[:, s0:s1])
-                np.add(c0s, cp[:, s0:s1], out=cp[:, s0:s1])
-                np.maximum(cp[:, s0:s1], floor, out=cp[:, s0:s1])
-
-            self._pool.run(_pred_tile, spans)
-            # full-mask flatnonzero on the main thread reproduces the
-            # sequential ascending enumeration with no index math.
-            return cp, Lh, R0, np.flatnonzero(sm)
-        if divide:
-            np.maximum(c0, 1e-30, out=t1)
-            np.divide(L0, t1, out=L0)
-        if Ea is not None:
-            np.add(P0, Ea, out=P0)
-        np.multiply(L0, h, out=Lh)
-        np.greater(Lh, thresh, out=sm)
-        flat = np.flatnonzero(sm)
-        np.multiply(L0, c0, out=t0)
-        np.subtract(P0, t0, out=R0)
-        np.multiply(R0, h, out=cp)
-        np.add(c0, cp, out=cp)
-        np.maximum(cp, floor, out=cp)
-        return cp, Lh, R0, flat
+        self._pool.run(_pred_tile, spans)
+        return (*out, self._merge_stiff(spans, counts))
 
     def corrector(
         self,
@@ -427,90 +326,40 @@ class FastKernel:
         Applies ``P1 += Ea`` in place, forms the averaged loss ``Lm =
         (L0 + L1)/2`` and ``Lmh = Lm*h``, and the floored trapezoidal
         update ``c1 = max(c0 + 0.5*h*(R0 + (P1 - L1*cp)), floor)``.
-        Stiff elements (``Lmh > thresh``) are returned as flat indices
-        for the caller's asymptotic overwrite.  Returns ``(c1, Lm, Lmh,
+        ``cp`` must be the predictor's workspace buffer.  Stiff elements
+        (``Lmh > thresh``) are returned as flat indices for the caller's
+        asymptotic overwrite.  Returns ``(c1, Lm, Lmh,
         stiff_flat_indices)``.
         """
         m = c0.shape[1]
-        P1, L1 = self.mat("P1", m), self.mat("L1", m)
-        L0 = self.mat("L0", m)
-        R0 = self.mat("R0", m)
-        Lm = self.mat("t0", m)
-        Lmh = self.mat("Lh", m)  # the predictor's L*h buffer is free now
-        c1 = self.mat("c1", m)
-        divide = self._pl_pending[1]
+        divide = int(self._pl_pending[1])
         self._pl_pending[1] = False
         spans = self._spans(m)
-        if self._c is not None and c0.flags.c_contiguous and (
-            Ea is None or Ea.flags.c_contiguous
-        ):
-            a = self._addr
-            if spans is None:
-                n = self._c.corrector(
-                    self.ns, m, a["P1"], a["L0"], a["L1"], a["R0"],
-                    a["cp"], c0.ctypes.data, h.ctypes.data,
-                    None if Ea is None else Ea.ctypes.data,
-                    thresh, floor, int(divide),
-                    a["t0"], a["Lh"], a["c1"], a["stiff_idx"],
-                )
-                return c1, Lm, Lmh, self._stiff_idx[:n]
-            c0p, hp = c0.ctypes.data, h.ctypes.data
-            Eap = None if Ea is None else Ea.ctypes.data
-            counts = [0] * len(spans)
+        a = self._addr
+        c0p, hp = _ptr(c0), _ptr(h)
+        Eap = None if Ea is None else _ptr(Ea)
+        # Lm lands in t0; Lmh reuses the predictor's free L*h buffer.
+        out = self.mat("c1", m), self.mat("t0", m), self.mat("Lh", m)
+        if spans is None:
+            n = self._c.corrector(
+                self.ns, m, a["P1"], a["L0"], a["L1"], a["R0"],
+                a["cp"], c0p, hp, Eap, thresh, floor, divide,
+                a["t0"], a["Lh"], a["c1"], a["stiff_idx"],
+            )
+            return (*out, self._stiff_idx[:n])
+        counts = [0] * len(spans)
 
-            def _corr_tile(si: int, s0: int, s1: int) -> None:
-                counts[si] = self._c.corrector_span(
-                    self.ns, m, s0, s1, a["P1"], a["L0"], a["L1"],
-                    a["R0"], a["cp"], c0p, hp, Eap,
-                    thresh, floor, int(divide),
-                    a["t0"], a["Lh"], a["c1"],
-                    a["stiff_idx"] + 8 * self.ns * s0,
-                )
+        def _corr_tile(si: int, s0: int, s1: int) -> None:
+            counts[si] = self._c.corrector_span(
+                self.ns, m, s0, s1, a["P1"], a["L0"], a["L1"],
+                a["R0"], a["cp"], c0p, hp, Eap,
+                thresh, floor, divide,
+                a["t0"], a["Lh"], a["c1"],
+                a["stiff_idx"] + 8 * self.ns * s0,
+            )
 
-            self._pool.run(_corr_tile, spans)
-            return c1, Lm, Lmh, self._merge_stiff(spans, counts)
-        sm = self.stiff_mask(m)
-        t1 = self.mat("t1", m)
-        if spans is not None:
-            def _corr_tile(si: int, s0: int, s1: int) -> None:
-                L1s, cps = L1[:, s0:s1], cp[:, s0:s1]
-                c1s = c1[:, s0:s1]
-                if divide:
-                    np.maximum(cps, 1e-30, out=c1s)  # c1 scratch
-                    np.divide(L1s, c1s, out=L1s)
-                if Ea is not None:
-                    np.add(P1[:, s0:s1], Ea[:, s0:s1], out=P1[:, s0:s1])
-                np.add(L0[:, s0:s1], L1s, out=Lm[:, s0:s1])
-                np.multiply(Lm[:, s0:s1], 0.5, out=Lm[:, s0:s1])
-                np.multiply(Lm[:, s0:s1], h[s0:s1], out=Lmh[:, s0:s1])
-                np.greater(Lmh[:, s0:s1], thresh, out=sm[:, s0:s1])
-                t1s = t1[:, s0:s1]
-                np.multiply(L1s, cps, out=t1s)
-                np.subtract(P1[:, s0:s1], t1s, out=t1s)
-                np.add(R0[:, s0:s1], t1s, out=t1s)
-                np.multiply(t1s, 0.5 * h[s0:s1], out=t1s)
-                np.add(c0[:, s0:s1], t1s, out=c1s)
-                np.maximum(c1s, floor, out=c1s)
-
-            self._pool.run(_corr_tile, spans)
-            return c1, Lm, Lmh, np.flatnonzero(sm)
-        if divide:
-            np.maximum(cp, 1e-30, out=c1)  # c1 is scratch until written
-            np.divide(L1, c1, out=L1)
-        if Ea is not None:
-            np.add(P1, Ea, out=P1)
-        np.add(L0, L1, out=Lm)
-        np.multiply(Lm, 0.5, out=Lm)
-        np.multiply(Lm, h, out=Lmh)
-        np.greater(Lmh, thresh, out=sm)
-        flatm = np.flatnonzero(sm)
-        np.multiply(L1, cp, out=t1)
-        np.subtract(P1, t1, out=t1)
-        np.add(R0, t1, out=t1)  # (P0 - L0*c0) + (P1 - L1*cp)
-        np.multiply(t1, 0.5 * h, out=t1)
-        np.add(c0, t1, out=c1)
-        np.maximum(c1, floor, out=c1)
-        return c1, Lm, Lmh, flatm
+        self._pool.run(_corr_tile, spans)
+        return (*out, self._merge_stiff(spans, counts))
 
     def errmax(self, c1: np.ndarray, cp: np.ndarray) -> np.ndarray:
         """Per-point convergence error ``max_i |c1-cp| / denom``.
@@ -521,40 +370,15 @@ class FastKernel:
         """
         m = c1.shape[1]
         spans = self._spans(m)
-        if self._c is not None and c1.flags.c_contiguous \
-                and cp.flags.c_contiguous:
-            if spans is None:
-                self._c.errmax(self.ns, m, c1.ctypes.data,
-                               cp.ctypes.data, self._addr["err"])
-            else:
-                c1p, cpp = c1.ctypes.data, cp.ctypes.data
-                ep = self._addr["err"]
-                self._pool.run(
-                    lambda si, s0, s1: self._c.errmax_span(
-                        self.ns, m, s0, s1, c1p, cpp, ep),
-                    spans)
-            return self._err[:m]
-        t0, t1 = self.mat("t0", m), self.mat("t1", m)
-        if spans is not None:
-            err = self._err[:m]
-
-            def _err_tile(si: int, s0: int, s1: int) -> None:
-                t0s, t1s = t0[:, s0:s1], t1[:, s0:s1]
-                np.subtract(c1[:, s0:s1], cp[:, s0:s1], out=t0s)
-                np.abs(t0s, out=t0s)
-                np.maximum(c1[:, s0:s1], cp[:, s0:s1], out=t1s)
-                np.maximum(t1s, 1e-7, out=t1s)
-                np.divide(t0s, t1s, out=t0s)
-                t0s.max(axis=0, out=err[s0:s1])
-
-            self._pool.run(_err_tile, spans)
-            return err
-        np.subtract(c1, cp, out=t0)
-        np.abs(t0, out=t0)
-        np.maximum(c1, cp, out=t1)
-        np.maximum(t1, 1e-7, out=t1)
-        np.divide(t0, t1, out=t0)
-        return t0.max(axis=0)
+        c1p, cpp, ep = _ptr(c1), _ptr(cp), self._addr["err"]
+        if spans is None:
+            self._c.errmax(self.ns, m, c1p, cpp, ep)
+        else:
+            self._pool.run(
+                lambda si, s0, s1: self._c.errmax_span(
+                    self.ns, m, s0, s1, c1p, cpp, ep),
+                spans)
+        return self._err[:m]
 
     # ------------------------------------------------------------------
     # batched-ensemble data movement
@@ -564,39 +388,25 @@ class FastKernel:
     ) -> np.ndarray:
         """Gather ``src[:, idx]`` into the named workspace buffer.
 
-        Pure data movement (bitwise-trivial); the C backend fuses the
-        column gather into one pass, which matters when the batched
-        ensemble sweep gathers hundreds of thousands of columns per
-        adaptive iteration.  ``idx`` must be int64 and ascending-sorted
-        the way the callers produce it.  ``name`` defaults to the
-        solver's ``c0`` state buffer; the tiled solver also gathers
-        emissions into ``Ea``.
+        Pure data movement (bitwise-trivial), fused into one pass, which
+        matters when the batched ensemble sweep gathers hundreds of
+        thousands of columns per adaptive iteration.  ``idx`` must be
+        int64 and ascending-sorted the way the callers produce it.
+        ``name`` defaults to the solver's ``c0`` state buffer; the
+        solver also gathers emissions into ``Ea``.
         """
         m = idx.size
-        out = self.mat(name, m)
         spans = self._spans(m)
-        if self._c is not None and src.flags.c_contiguous \
-                and idx.flags.c_contiguous:
-            if spans is None:
-                self._c.gather_cols(self.ns, src.shape[1], m,
-                                    src.ctypes.data, idx.ctypes.data,
-                                    self._addr[name])
-            else:
-                sp, ip = src.ctypes.data, idx.ctypes.data
-                ncols, op = src.shape[1], self._addr[name]
-                self._pool.run(
-                    lambda si, s0, s1: self._c.gather_cols_span(
-                        self.ns, ncols, m, s0, s1, sp, ip, op),
-                    spans)
-            return out
-        if spans is not None:
+        sp, ip, op = _ptr(src), _ptr(idx), self._addr[name]
+        ncols = src.shape[1]
+        if spans is None:
+            self._c.gather_cols(self.ns, ncols, m, sp, ip, op)
+        else:
             self._pool.run(
-                lambda si, s0, s1: np.take(
-                    src, idx[s0:s1], axis=1, out=out[:, s0:s1]),
+                lambda si, s0, s1: self._c.gather_cols_span(
+                    self.ns, ncols, m, s0, s1, sp, ip, op),
                 spans)
-            return out
-        np.take(src, idx, axis=1, out=out)
-        return out
+        return self.mat(name, m)
 
     def scatter_cols(
         self, dst: np.ndarray, src: np.ndarray, idx: np.ndarray,
@@ -609,31 +419,26 @@ class FastKernel:
         Tiles write disjoint destination columns (``idx`` ascending),
         so the tiled scatter is race-free and bit-identical.
         """
-        spans = self._spans(idx.size)
-        if self._c is not None and dst.flags.c_contiguous \
-                and src.flags.c_contiguous and idx.flags.c_contiguous \
-                and ok.flags.c_contiguous:
-            if spans is None:
-                self._c.scatter_cols(self.ns, dst.shape[1], idx.size,
-                                     src.ctypes.data, idx.ctypes.data,
-                                     ok.ctypes.data, dst.ctypes.data)
-                return
-            sp, ip = src.ctypes.data, idx.ctypes.data
-            okp, dp = ok.ctypes.data, dst.ctypes.data
-            ncols = dst.shape[1]
+        m = idx.size
+        spans = self._spans(m)
+        sp, ip, okp, dp = _ptr(src), _ptr(idx), _ptr(ok), _ptr(dst)
+        ncols = dst.shape[1]
+        if spans is None:
+            self._c.scatter_cols(self.ns, ncols, m, sp, ip, okp, dp)
+        else:
             self._pool.run(
                 lambda si, s0, s1: self._c.scatter_cols_span(
-                    self.ns, ncols, idx.size, s0, s1, sp, ip, okp, dp),
+                    self.ns, ncols, m, s0, s1, sp, ip, okp, dp),
                 spans)
-            return
-        if spans is not None:
-            self._pool.run(
-                lambda si, s0, s1: dst.__setitem__(
-                    (slice(None), idx[s0:s1][ok[s0:s1]]),
-                    src[:, s0:s1][:, ok[s0:s1]]),
-                spans)
-            return
-        dst[:, idx[ok]] = src[:, ok]
+
+
+def _ptr(arr: np.ndarray) -> int:
+    """Raw data address of a C-contiguous array for the C kernels."""
+    if not arr.flags.c_contiguous:
+        raise ValueError(
+            "the fused chemistry kernels need C-contiguous arrays"
+        )
+    return arr.ctypes.data
 
 
 def asymptotic_subset(

@@ -22,10 +22,10 @@ Hence results are SHA-identical to the sequential run for every worker
 count and tile size; the pool only changes wall-clock time.
 
 The pool's threads hold no Python-visible shared state beyond the
-locked accounting counters below; the numeric work happens inside
-GIL-releasing ctypes calls (C backend) or numpy ufuncs on disjoint
-column slices (fallback), so tiles genuinely overlap on multi-core
-hosts.
+locked accounting counters below; the numeric work happens inside the
+C fused kernels' GIL-releasing ctypes calls, so tiles genuinely overlap
+on multi-core hosts.  Only the C kernel tiles: without it the solver
+runs its reference path, which ignores the pool.
 """
 
 from __future__ import annotations
@@ -103,6 +103,9 @@ class TilePool:
     def _worker_loop(self, widx: int) -> None:
         q = self._queues[widx]
         while True:
+            # Drop the last task before blocking: its closure references
+            # the caller's kernel workspace, which must not outlive it.
+            item = fn = share = err = None
             item = q.get()
             if item is None:
                 return

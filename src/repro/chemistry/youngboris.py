@@ -31,7 +31,10 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
+from repro.chemistry import cfused
+from repro.chemistry.kernel import FastKernel, asymptotic_subset
 from repro.chemistry.mechanism import Mechanism
+from repro.chemistry.tiling import TilePool
 
 __all__ = ["ChemistryStats", "YoungBorisSolver"]
 
@@ -113,17 +116,20 @@ class YoungBorisSolver:
     floor:
         Concentration floor (ppm); negative excursions are clipped.
     fast:
-        Use the workspace-backed fast kernel
-        (:mod:`repro.chemistry.kernel`).  Results are bitwise identical
-        to the reference path; ``fast=False`` keeps the original
-        allocation-per-substep implementation for cross-checking.
+        Use the workspace-backed C fused kernel
+        (:mod:`repro.chemistry.kernel`) when :func:`repro.chemistry.
+        cfused.load` provides it.  Results are bitwise identical to the
+        reference path.  ``fast=False`` — and, implicitly, a host with
+        no C compiler, a failed build or ``REPRO_CHEM_NO_C`` set — runs
+        the original allocation-per-substep implementation, which is
+        the cross-checking oracle.
     workers / tile_cols / tile_min_cols:
-        Multi-core tiling of the fast kernel's elementwise stages
+        Multi-core tiling of the fused kernel's elementwise stages
         (:mod:`repro.chemistry.tiling`).  ``workers > 1`` (or an
         explicit ``tile_cols``) fans columns out over a persistent
         thread pool; results stay bitwise identical for every worker
         count and tile size, so this is purely a wall-clock knob.
-        Ignored by the ``fast=False`` reference path.
+        Ignored by the reference path.
     """
 
     def __init__(
@@ -159,17 +165,18 @@ class YoungBorisSolver:
         self.workers = int(workers)
         self.tile_cols = None if tile_cols is None else int(tile_cols)
         self.tile_min_cols = int(tile_min_cols)
-        self._kern: Optional["FastKernel"] = None
-        self._pool = None
+        self._kern: Optional[FastKernel] = None
+        self._pool: Optional[TilePool] = None
+        self._last_stats: Optional[List[dict]] = None
 
-    def _kernel(self) -> "FastKernel":
+    def _kernel(self) -> Optional[FastKernel]:
+        """The fused kernel (built lazily), or ``None`` without C."""
         if self._kern is None:
-            from repro.chemistry.kernel import FastKernel
-
-            self._kern = FastKernel(self.mechanism)
+            lib = cfused.load()
+            if lib is None:
+                return None
+            self._kern = FastKernel(self.mechanism, lib)
             if self.workers > 1 or self.tile_cols is not None:
-                from repro.chemistry.tiling import TilePool
-
                 self._pool = TilePool(self.workers)
                 self._kern.configure_tiling(
                     self._pool, self.tile_cols, self.tile_min_cols
@@ -177,16 +184,49 @@ class YoungBorisSolver:
         return self._kern
 
     def close(self) -> None:
-        """Release the tile worker pool (idempotent; pool is lazy)."""
+        """Stop the tile pool and drop the kernel (idempotent).
+
+        The next :meth:`integrate` builds a fresh kernel and pool, so a
+        closed solver stays usable and still tiles.
+        """
         if self._pool is not None:
             self._pool.close()
-            self._pool = None
-            if self._kern is not None:
-                self._kern.configure_tiling(None)
+        self._pool = None
+        self._kern = None
+        self._last_stats = None
 
     def tile_stats(self) -> list:
         """Per-worker ``{worker, busy_s, tasks, cols}`` accounting."""
         return [] if self._pool is None else self._pool.snapshot()
+
+    def emit_tile_spans(self, tracer, start: float) -> None:
+        """Emit one per-worker tile span covering ``[start, now]``.
+
+        Each span carries the worker's *busy* seconds (time inside tile
+        kernels since the previous emission) plus dispatch/column
+        counts, nesting under whatever region span the caller holds
+        open (the drivers call this inside their ``chemistry`` span).
+        No-op when tiling is disabled — the sequential trace shape is
+        unchanged.
+        """
+        stats = self.tile_stats()
+        if not stats:
+            return
+        end = tracer.now()
+        prev = self._last_stats
+        for w, cur in enumerate(stats):
+            old = prev[w] if prev is not None else None
+            busy = cur["busy_s"] - (old["busy_s"] if old else 0.0)
+            tasks = cur["tasks"] - (old["tasks"] if old else 0)
+            cols = cur["cols"] - (old["cols"] if old else 0)
+            if tasks == 0:
+                continue
+            tracer.emit(
+                f"chem:tile:w{w}", "compute", start, end,
+                node=w, busy=min(busy, max(end - start, 0.0)),
+                tasks=tasks, cols=cols,
+            )
+        self._last_stats = stats
 
     # ------------------------------------------------------------------
     def choose_substeps(
@@ -282,8 +322,10 @@ class YoungBorisSolver:
         if dt <= 0:
             raise ValueError("dt must be positive")
         conc = np.asarray(conc, dtype=float)
-        # A 1-D state is one point's (n_species,) column.
-        c = np.array(conc[:, None] if conc.ndim == 1 else conc, dtype=float)
+        # A 1-D state is one point's (n_species,) column.  C order is
+        # what the fused kernels require; the values are unchanged.
+        c = np.array(conc[:, None] if conc.ndim == 1 else conc,
+                     dtype=float, order="C")
         if c.shape[0] != self.mechanism.n_species:
             raise ValueError(
                 f"conc has {c.shape[0]} species, mechanism expects "
@@ -307,10 +349,9 @@ class YoungBorisSolver:
         # criterion of the original paper); otherwise the point retries
         # with half the step.  This is what keeps the stiff (asymptotic)
         # and non-stiff (trapezoidal) updates flux-consistent.
-        fast = self.fast
-        kern = None
+        kern = self._kernel() if self.fast else None
+        fast = kern is not None
         if fast:
-            kern = self._kernel()
             kern.ensure(npts)
         edges = None
         full_slices = None
@@ -452,8 +493,8 @@ class YoungBorisSolver:
     ):
         """Workspace-backed hybrid substep, bitwise equal to ``_substep``.
 
-        The optimizations are exactness-preserving: ``out=`` buffers
-        (or the C fused loops — see :mod:`repro.chemistry.kernel`), the
+        The optimizations are exactness-preserving: workspace buffers
+        and the C fused loops (see :mod:`repro.chemistry.kernel`), the
         shared ``R0 = P0 - L0*c0`` subexpression (used by both the
         explicit predictor and the trapezoidal corrector), a single
         ``L*h`` product per stage feeding both the stiffness mask and
@@ -462,8 +503,6 @@ class YoungBorisSolver:
         are subset-stable).  ``reuse_pl`` skips the first mechanism
         evaluation when slot 0 already holds ``(P0, L0)`` at ``c0``.
         """
-        from repro.chemistry.kernel import asymptotic_subset
-
         m = c0.shape[1]
         if not reuse_pl:
             kern.production_loss(c0, k, 0, defer_finish=True,

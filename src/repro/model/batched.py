@@ -98,9 +98,21 @@ def run_batched(
     relies on when some members are already science-cached.
     """
     _check_fusable(configs)
-    tracer = tracer if tracer is not None else Tracer()
-    nmem = len(configs)
     phys = AirshedPhysics(configs[0])
+    try:
+        return _run_batched(
+            configs, phys, tracer if tracer is not None else Tracer()
+        )
+    finally:
+        phys.close()
+
+
+def _run_batched(
+    configs: Sequence[AirshedConfig],
+    phys: AirshedPhysics,
+    tracer: Tracer,
+) -> List[AirshedResult]:
+    nmem = len(configs)
     solver = phys.solver
     datasets = [cfg.dataset for cfg in configs]
     ns, nl, npts = datasets[0].shape
@@ -162,7 +174,7 @@ def run_batched(
                             batch, E_b, edges, tracer,
                         )
                         # Per-worker tile spans (no-op without a pool).
-                        phys.chemistry.emit_tile_spans(tracer, t_chem)
+                        solver.emit_tile_spans(tracer, t_chem)
                     with span("aerosol", kind="compute", members=nmem):
                         # The condensation sink is each member's own
                         # domain-global aerosol mean: strictly per run.

@@ -178,6 +178,12 @@ class DataParallelAirshed:
         declare_airshed_phases(self.runtime)
 
     def run(self) -> Tuple[AirshedResult, ParallelTiming]:
+        try:
+            return self._run()
+        finally:
+            self.physics.close()
+
+    def _run(self) -> Tuple[AirshedResult, ParallelTiming]:
         cfg = self.config
         ds = cfg.dataset
         phys = self.physics

@@ -17,11 +17,11 @@ from repro.chemistry import (
     AerosolModel,
     ChemistryStats,
     VerticalDiffusion,
+    YoungBorisSolver,
 )
 from repro.chemistry.youngboris import OPS_PER_SUBSTEP_PER_SPECIES
 from repro.datasets.generators import Dataset, HourlyConditions
 from repro.model.config import AirshedConfig
-from repro.model.tiled import TiledChemistry
 from repro.transport import SUPGTransport
 from repro.transport.supg import TransportOperator
 
@@ -48,17 +48,15 @@ class AirshedPhysics:
         for name, vd in DEPOSITION_VELOCITIES.items():
             deposition[mech.index[name]] = vd
 
-        self.chemistry = TiledChemistry(
+        #: The chemistry solver; it carries a tile pool of
+        #: ``chem_workers`` threads when that is above 1 (see close()).
+        self.solver = YoungBorisSolver(
             mech,
             eps=config.chem_eps,
             max_substeps=config.chem_max_substeps,
             workers=config.chem_workers,
             tile_cols=config.chem_tile_cols,
         )
-        #: The underlying solver — kept as an attribute so the batched
-        #: ensemble engine (and tests) can drive it directly; it already
-        #: carries the tile pool when chem_workers > 1.
-        self.solver = self.chemistry.solver
         self.vertical = VerticalDiffusion(
             heights=self.dataset.layer_heights,
             kz=self.dataset.kz_profile,
@@ -70,6 +68,10 @@ class AirshedPhysics:
             diffusivity=self.dataset.wind.diffusivity,
             theta=config.theta,
         )
+
+    def close(self) -> None:
+        """Stop the solver's tile pool; a later run builds a new one."""
+        self.solver.close()
 
     # ------------------------------------------------------------------
     # per-hour setup

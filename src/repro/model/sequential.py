@@ -51,6 +51,12 @@ class SequentialAirshed:
         self.tracer = tracer if tracer is not None else Tracer()
 
     def run(self) -> AirshedResult:
+        try:
+            return self._run()
+        finally:
+            self.physics.close()
+
+    def _run(self) -> AirshedResult:
         cfg = self.config
         ds = cfg.dataset
         phys = self.physics
@@ -86,7 +92,7 @@ class SequentialAirshed:
                             )
                             # Per-worker tile spans (no-op when the
                             # tiled pool is disabled).
-                            phys.chemistry.emit_tile_spans(
+                            phys.solver.emit_tile_spans(
                                 self.tracer, t_chem
                             )
                         with span("aerosol", kind="compute"):

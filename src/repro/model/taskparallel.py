@@ -198,6 +198,12 @@ class TaskParallelAirshed:
         )
 
     def run(self) -> Tuple[AirshedResult, ParallelTiming]:
+        try:
+            return self._run()
+        finally:
+            self.physics.close()
+
+    def _run(self) -> Tuple[AirshedResult, ParallelTiming]:
         from repro.io.hourly import inputhour, outputhour, pretrans
 
         cfg = self.config

@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import os
 import pickle
+import tempfile
 import threading
 from pathlib import Path
 from typing import Any, Dict, Iterator, List, Optional, Tuple, Union
@@ -142,10 +143,16 @@ class ResultCache:
 
     def _store(self, path: Path, obj: Any) -> None:
         path.parent.mkdir(parents=True, exist_ok=True)
-        tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
-        with tmp.open("wb") as fh:
-            pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
-        os.replace(tmp, path)
+        # One temp file per writer: concurrent puts of one key must not
+        # interleave their bytes before the atomic replace.
+        fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f"{path.name}.tmp.")
+        try:
+            with os.fdopen(fd, "wb") as fh:
+                pickle.dump(obj, fh, protocol=pickle.HIGHEST_PROTOCOL)
+            os.replace(tmp, path)
+        except BaseException:
+            Path(tmp).unlink(missing_ok=True)
+            raise
         self._after_store(path)
 
     def _after_store(self, path: Path) -> None:

@@ -1,12 +1,17 @@
-"""Tiled multi-core chemistry is bitwise identical to sequential.
+"""Tiled multi-core chemistry is bitwise identical to the reference.
 
 The tiled engine (:mod:`repro.chemistry.tiling`) fans the per-column
-elementwise stages of :class:`~repro.chemistry.kernel.FastKernel` out
-over contiguous column tiles on a persistent worker pool.  Its contract
-is the same as every other fast path in this repo: **SHA-identical** to
-the sequential run — for every worker count, every tile size (ragged
-last tile, one-column tiles) and every backend (reference numpy, fused
-numpy, fused C).
+elementwise stages of the C fused kernel
+(:class:`~repro.chemistry.kernel.FastKernel`) out over contiguous column
+tiles on a persistent worker pool.  Its contract is the same as the
+untiled kernel's: **SHA-identical** to the ``fast=False`` reference —
+for every worker count and every tile size (ragged last tile,
+one-column tiles).
+
+Cases marked ``numpy`` run the same solver on a host without the C
+kernel (``cfused.load()`` returns ``None``, as under
+``REPRO_CHEM_NO_C``): it takes the pure-numpy reference path, which
+ignores the pool, and must still produce the reference bits.
 """
 
 import hashlib
@@ -16,7 +21,6 @@ import pytest
 
 from repro.chemistry import YoungBorisSolver, cit_mechanism
 from repro.chemistry.cfused import load as load_cfused
-from repro.chemistry.kernel import FastKernel
 from repro.chemistry.tiling import TilePool, tile_spans
 
 from tests.chemistry.test_youngboris import urban_state
@@ -29,6 +33,16 @@ def mech():
     return cit_mechanism()
 
 
+@pytest.fixture
+def backend(request, monkeypatch):
+    """``c``: the fused kernel (skipped without it); ``numpy``: no C."""
+    if request.param == "numpy":
+        monkeypatch.setattr("repro.chemistry.cfused.load", lambda: None)
+    elif load_cfused() is None:
+        pytest.skip("no C compiler available")
+    return request.param
+
+
 def _state(mech):
     conc = urban_state(mech, npts=NPTS, seed=11)
     emissions = np.zeros_like(conc)
@@ -37,9 +51,8 @@ def _state(mech):
     return conc, emissions
 
 
-def _solve(mech, conc, emissions, *, fast=True, use_c=None,
-           workers=1, tile_cols=None):
-    """Run one integration, forcing backend and tiling explicitly.
+def _solve(mech, conc, emissions, *, fast=True, workers=1, tile_cols=None):
+    """Run one integration with explicit tiling.
 
     Tiny states tile too: ``tile_min_cols=1`` removes the perf-only
     threshold so the test exercises the tiled machinery even at
@@ -47,12 +60,6 @@ def _solve(mech, conc, emissions, *, fast=True, use_c=None,
     """
     solver = YoungBorisSolver(mech, fast=fast, workers=workers,
                               tile_cols=tile_cols, tile_min_cols=1)
-    if fast and use_c is not None:
-        kern = FastKernel(mech, use_c=use_c)
-        solver._kern = kern
-        if workers > 1 or tile_cols is not None:
-            solver._pool = TilePool(workers)
-            kern.configure_tiling(solver._pool, tile_cols, 1)
     try:
         return solver.integrate(conc, 300.0, 298.0, 0.6,
                                 emissions=emissions)
@@ -65,41 +72,35 @@ def _sha(arr):
 
 
 class TestBitwiseIdentity:
-    """workers x tile sizes x backends, SHA-256 against sequential."""
+    """workers x tile sizes, SHA-256 against the reference path."""
 
-    @pytest.mark.parametrize("use_c", [False, True], ids=["numpy", "c"])
+    @pytest.mark.parametrize("backend", ["numpy", "c"], indirect=True)
     @pytest.mark.parametrize("workers", [1, 2, 4])
     @pytest.mark.parametrize("tile_cols", [None, 1, 7, 50],
                              ids=["balanced", "tile1", "tile7", "tile50"])
-    def test_tiled_sha_matches_sequential_golden(self, mech, use_c,
+    def test_tiled_sha_matches_sequential_golden(self, mech, backend,
                                                  workers, tile_cols):
-        if use_c and load_cfused() is None:
-            pytest.skip("no C compiler available")
-        conc, emissions = _state(mech)
-        golden = _solve(mech, conc, emissions, use_c=use_c)
-        tiled = _solve(mech, conc, emissions, use_c=use_c,
-                       workers=workers, tile_cols=tile_cols)
-        assert _sha(tiled) == _sha(golden)
-        assert np.array_equal(tiled, golden)
-
-    def test_sequential_golden_matches_reference_backend(self, mech):
-        """The golden itself equals the allocation-per-substep path."""
         conc, emissions = _state(mech)
         reference = _solve(mech, conc, emissions, fast=False)
-        for use_c in ([False, True] if load_cfused() else [False]):
-            assert np.array_equal(
-                _solve(mech, conc, emissions, use_c=use_c), reference
-            )
+        tiled = _solve(mech, conc, emissions,
+                       workers=workers, tile_cols=tile_cols)
+        assert _sha(tiled) == _sha(reference)
+        assert np.array_equal(tiled, reference)
 
-    def test_tiled_cross_backend_identity(self, mech):
-        """Tiled C and tiled numpy agree with each other."""
+    def test_sequential_golden_matches_reference_backend(self, mech):
+        """The untiled fast path equals the allocation-per-substep path."""
+        conc, emissions = _state(mech)
+        reference = _solve(mech, conc, emissions, fast=False)
+        assert np.array_equal(_solve(mech, conc, emissions), reference)
+
+    def test_tiled_cross_backend_identity(self, mech, monkeypatch):
+        """Tiled C agrees with the same solver on a host without C."""
         if load_cfused() is None:
             pytest.skip("no C compiler available")
         conc, emissions = _state(mech)
-        a = _solve(mech, conc, emissions, use_c=True, workers=4,
-                   tile_cols=13)
-        b = _solve(mech, conc, emissions, use_c=False, workers=3,
-                   tile_cols=29)
+        a = _solve(mech, conc, emissions, workers=4, tile_cols=13)
+        monkeypatch.setattr("repro.chemistry.cfused.load", lambda: None)
+        b = _solve(mech, conc, emissions, workers=3, tile_cols=29)
         assert _sha(a) == _sha(b)
 
     def test_driver_level_workers_knob(self, mech):

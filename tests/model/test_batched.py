@@ -5,9 +5,11 @@ structure-of-arrays sweep changes *nothing* about any member's numbers:
 final concentrations, hourly means, surface snapshots and the complete
 workload trace must equal — ``np.array_equal``, SHA-256 digests and
 all — what the member's own :class:`SequentialAirshed` run produces.
-That must hold on every chemistry backend (reference, numpy fast, C
-fused), for even and odd member counts, and for arbitrary member
-subsets (what the scheduler batches when some members are cached).
+That must hold on every chemistry path (the ``fast=False`` reference,
+a ``fast=True`` solver on a host without the C kernel — ``numpy``,
+which runs the reference — and the C fused kernel), for even and odd
+member counts, and for arbitrary member subsets (what the scheduler
+batches when some members are cached).
 """
 
 import hashlib
@@ -27,7 +29,7 @@ BACKENDS = ("reference", "numpy", "c")
 
 @pytest.fixture
 def backend(request, monkeypatch):
-    """Force one of the three chemistry backends for the test body."""
+    """Force one of the three chemistry paths for the test body."""
     name = request.param
     if name == "reference":
         orig = YoungBorisSolver.__init__
@@ -40,7 +42,7 @@ def backend(request, monkeypatch):
     elif name == "numpy":
         monkeypatch.setattr("repro.chemistry.cfused.load", lambda: None)
     elif load_cfused() is None:
-        pytest.skip("no C compiler available; numpy fallback covered")
+        pytest.skip("no C compiler available; reference path covered")
     return name
 
 

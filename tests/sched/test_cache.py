@@ -1,6 +1,7 @@
 """Content-addressed result cache behaviour."""
 
 import pickle
+import threading
 
 import pytest
 
@@ -40,6 +41,49 @@ class TestScience:
         leftovers = [p for p in cache.science_path(key).parent.iterdir()
                      if ".tmp." in p.name]
         assert leftovers == []
+
+    def test_concurrent_puts_of_one_key_never_interleave(self, cache,
+                                                        monkeypatch):
+        """Each writer has its own temp file until the atomic replace.
+
+        The first writer stalls halfway through its pickle while a
+        second writer puts a different payload under the same key; the
+        entry must end up holding one of the two payloads intact.
+        """
+        key = "ee" * 32
+        first, second = b"a" * 4096, b"b" * 4096
+        half_written = threading.Event()
+        release = threading.Event()
+        real_dump = pickle.dump
+
+        def stalling_dump(obj, fh, protocol=None):
+            if obj is not first:
+                return real_dump(obj, fh, protocol=protocol)
+            data = pickle.dumps(obj, protocol=protocol)
+            fh.write(data[:len(data) // 2])
+            fh.flush()
+            half_written.set()
+            release.wait(timeout=30)
+            fh.write(data[len(data) // 2:])
+
+        monkeypatch.setattr(pickle, "dump", stalling_dump)
+        errors = []
+
+        def put_first():
+            try:
+                cache.put_science(key, first)
+            except Exception as exc:  # noqa: BLE001 - asserted below
+                errors.append(exc)
+
+        writer = threading.Thread(target=put_first)
+        writer.start()
+        assert half_written.wait(timeout=30)
+        cache.put_science(key, second)
+        release.set()
+        writer.join(timeout=30)
+        assert not writer.is_alive()
+        assert errors == []
+        assert cache.get_science(key) in (first, second)
 
 
 class TestJobs:
